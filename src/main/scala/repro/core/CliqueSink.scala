@@ -17,12 +17,14 @@ trait CliqueSink {
   def onCount(c: Long): Unit
 }
 
-/** Pure counting sink — lets kernels take every arithmetic shortcut. */
+/** Pure counting sink — lets kernels take every arithmetic shortcut. A total
+  * past Long.MaxValue throws ArithmeticException rather than wrapping.
+  */
 final class CountingSink extends CliqueSink {
   var total: Long = 0L
   override def wantsCliques: Boolean = false
   override def onClique(stack: Array[Int], len: Int): Unit = total += 1
-  override def onCount(c: Long): Unit = total += c
+  override def onCount(c: Long): Unit = total = Math.addExact(total, c)
 }
 
 /** Materializing sink: stores each clique as a sorted vertex array. */

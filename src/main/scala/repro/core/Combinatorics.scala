@@ -7,21 +7,28 @@ package repro.core
   */
 object Combinatorics {
 
-  /** C(n, k) with Long saturation (Long.MaxValue on overflow); 0 outside range. */
+  /** C(n, k), exact whenever it fits in a Long; 0 outside range.
+    *
+    * @throws ArithmeticException if C(n, k) exceeds Long.MaxValue
+    */
   def binomial(n: Int, k: Int): Long = {
     if (k < 0 || k > n) return 0L
     val kk = math.min(k, n - k)
     var acc = 1L
     var i = 1
     while (i <= kk) {
+      // acc = C(n - kk + i, i) = acc * num / i. Dividing gcd(acc, i) out of
+      // both first leaves i / gcd dividing num, so the product is the exact
+      // result and overflows only if C(n, k) itself does.
       val num = n - kk + i
-      // acc = acc * num / i, detecting overflow before it happens.
-      if (acc > Long.MaxValue / num) return Long.MaxValue
-      acc = acc * num / i
+      val d = gcd(acc, i)
+      acc = Math.multiplyExact(acc / d, num / (i / d))
       i += 1
     }
     acc
   }
+
+  private def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
 
   /** Invokes `f(buf, k)` once per k-combination of `items(0 until len)`;
     * `buf(0 until k)` holds the chosen items and must not be retained.

@@ -75,7 +75,7 @@ object EbbkcPrep {
   *
   * Hybrid path (EBBkC-H, Algorithm 5): the initial branch uses the truss
   * ordering; each resulting subgraph is colored and branched as a local
-  * [[ColorDag]] with both color pruning rules.
+  * color DAG with both color pruning rules ([[BitBranch]]).
   *
   * Color path (EBBkC-C, Algorithm 4): one global color DAG; each edge
   * subproblem intersects common out-neighborhoods.
@@ -92,6 +92,10 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
   private val stampOf = new Array[Int](g.n)
   private val localIdx = new Array[Int](g.n)
   private var stamp = 0
+  // Grow-only scratch for edge lists, copied out at their exact size.
+  private var edgeBuf = new Array[Long](64)
+  private val bits =
+    if (cfg.ordering == HybridOrdering) new BitBranch(g.maxDegree, k, stack, cfg.rule2, etT) else null
 
   override def run(subId: Int, sink: CliqueSink): Unit = cfg.ordering match {
     case ColorOrdering => runColorSub(subId, sink)
@@ -131,7 +135,8 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     val edges = if (l0 >= 2) buildBranchEdges(verts, r) else Array.emptyIntArray
 
     stack(0) = u; stack(1) = v
-    if (cfg.ordering == HybridOrdering) runHybridBranch(verts, edges, l0, sink)
+    // An l0 <= 2 branch is only its base case, which recT runs as EBBkC-H would.
+    if (cfg.ordering == HybridOrdering && l0 >= 3) runHybridBranch(verts, edges, l0, sink)
     else recT(verts, edges, l0, 2, sink)
   }
 
@@ -140,7 +145,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     stamp += 1
     var i = 0
     while (i < verts.length) { stampOf(verts(i)) = stamp; i += 1 }
-    val buf = new scala.collection.mutable.ArrayBuffer[Long]
+    var n = 0
     i = 0
     while (i < verts.length) {
       val w1 = verts(i)
@@ -150,17 +155,26 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
         if (w2 > w1 && stampOf(w2) == stamp) {
           val f = g.adjEdgeIds(p)
           val rf = rank(f)
-          if (rf > r) buf += (rf.toLong << 32) | f
+          if (rf > r) { pushEdge(n, (rf.toLong << 32) | f); n += 1 }
         }
         p += 1
       }
       i += 1
     }
-    val packed = buf.toArray
-    java.util.Arrays.sort(packed)
-    val out = new Array[Int](packed.length)
-    i = 0
-    while (i < packed.length) { out(i) = packed(i).toInt; i += 1 }
+    java.util.Arrays.sort(edgeBuf, 0, n)
+    edgesOut(n)
+  }
+
+  private def pushEdge(n: Int, x: Long): Unit = {
+    if (n == edgeBuf.length) edgeBuf = java.util.Arrays.copyOf(edgeBuf, 2 * n)
+    edgeBuf(n) = x
+  }
+
+  /** The low 32 bits of edgeBuf(0 until n): edge ids. */
+  private def edgesOut(n: Int): Array[Int] = {
+    val out = new Array[Int](n)
+    var i = 0
+    while (i < n) { out(i) = edgeBuf(i).toInt; i += 1 }
     out
   }
 
@@ -170,13 +184,7 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     * pi_tau order; each sub-branch keeps only later-ranked structure.
     */
   private def recT(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (verts.length < l) return
-    if (etT > 0 && l >= 3) {
-      val rows = rowsFromEdgesIfPlex(verts, edges)
-      if (rows != null &&
-          PlexListers.tryEarlyTerminate(stack, sp, verts, verts.length, rows, l, etT, sink))
-        return
-    }
+    if (verts.length < l || tryEarlyTerminate(verts, edges, l, sp, sink)) return
     if (l == 1) {
       if (!sink.wantsCliques) sink.onCount(verts.length)
       else {
@@ -226,14 +234,14 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
             stamp += 1
             var q = 0
             while (q < nn) { stampOf(nextVerts(q)) = stamp; q += 1 }
-            val buf = new scala.collection.mutable.ArrayBuffer[Int]
+            var ne = 0
             var j2 = i + 1
             while (j2 < edges.length) {
               val f2 = edges(j2)
-              if (stampOf(g.edgeU(f2)) == stamp && stampOf(g.edgeV(f2)) == stamp) buf += f2
+              if (stampOf(g.edgeU(f2)) == stamp && stampOf(g.edgeV(f2)) == stamp) { pushEdge(ne, f2); ne += 1 }
               j2 += 1
             }
-            buf.toArray
+            edgesOut(ne)
           } else Array.emptyIntArray
         stack(sp) = a; stack(sp + 1) = b
         recT(nextVerts, nextEdges, l - 2, sp + 2, sink)
@@ -241,6 +249,15 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       i += 1
     }
   }
+
+  /** Early termination (Section 5) of the branch graph (verts, edges): true
+    * iff it is a t-plex and was listed.
+    */
+  private def tryEarlyTerminate(verts: Array[Int], edges: Array[Int], l: Int, sp: Int, sink: CliqueSink): Boolean =
+    etT > 0 && l >= 3 && {
+      val rows = rowsFromEdgesIfPlex(verts, edges)
+      rows != null && PlexListers.tryEarlyTerminate(stack, sp, verts, verts.length, rows, l, etT, sink)
+    }
 
   /** Bitset adjacency of the branch graph (verts, edges) for the ET check,
     * or null if the branch graph is not a t-plex (degrees checked first in
@@ -277,38 +294,12 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
 
   // ------------------------------------------------------------ EBBkC-H body
 
-  /** Algorithm 5: color the truss-level branch graph and hand it to the
-    * color-DAG recursion. ET is probed first so dense branch graphs skip the
-    * coloring altogether.
+  /** Algorithm 5: color the truss-level branch graph (l0 >= 3) and hand it
+    * to the word-parallel color-DAG recursion. ET is probed first so dense
+    * branch graphs skip the coloring altogether.
     */
   private def runHybridBranch(verts: Array[Int], edges: Array[Int], l0: Int, sink: CliqueSink): Unit = {
-    if (etT > 0 && l0 >= 3 && verts.length >= l0) {
-      val rows = rowsFromEdgesIfPlex(verts, edges)
-      if (rows != null &&
-          PlexListers.tryEarlyTerminate(stack, 2, verts, verts.length, rows, l0, etT, sink))
-        return
-    }
-    if (l0 == 1) {
-      if (!sink.wantsCliques) sink.onCount(verts.length)
-      else {
-        var i = 0
-        while (i < verts.length) { stack(2) = verts(i); sink.onClique(stack, 3); i += 1 }
-      }
-      return
-    }
-    if (l0 == 2) {
-      if (!sink.wantsCliques) sink.onCount(edges.length)
-      else {
-        var i = 0
-        while (i < edges.length) {
-          val f = edges(i)
-          stack(2) = g.edgeU(f); stack(3) = g.edgeV(f)
-          sink.onClique(stack, 4)
-          i += 1
-        }
-      }
-      return
-    }
+    if (tryEarlyTerminate(verts, edges, l0, 2, sink)) return
     // Relabel the branch graph to dense local ids and color it.
     val s = verts.length
     stamp += 1
@@ -333,43 +324,11 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
       adjL(b)(cursor(b)) = a; cursor(b) += 1
       i += 1
     }
-    i = 0
-    while (i < s) { java.util.Arrays.sort(adjL(i)); i += 1 }
-    val colorOrder = Array.tabulate(s)(identity).sortBy(v => (-deg(v), v))
-    val colors = Coloring.greedyLocal(adjL, colorOrder)
-    // Relabel into color-desc position space and run the word-parallel
-    // DAG recursion: branch graphs are bounded by tau, so candidate sets fit
-    // a handful of words — the same data-level parallelism BitCol enjoys.
-    val order = Array.tabulate(s)(identity).sortBy(v => (-colors(v), v))
-    val posOf = new Array[Int](s)
-    i = 0
-    while (i < s) { posOf(order(i)) = i; i += 1 }
-    val words = (s + 63) >>> 6
-    val outRows = Array.ofDim[Long](s, words)
-    val undRows = Array.ofDim[Long](s, words)
-    val posColors = new Array[Int](s)
-    val toOuterPos = new Array[Int](s)
-    var p = 0
-    while (p < s) {
-      val v = order(p)
-      posColors(p) = colors(v)
-      toOuterPos(p) = verts(v)
-      val nb = adjL(v)
-      var j = 0
-      while (j < nb.length) {
-        val q = posOf(nb(j))
-        undRows(p)(q >>> 6) |= 1L << (q & 63)
-        if (q > p) outRows(p)(q >>> 6) |= 1L << (q & 63)
-        j += 1
-      }
-      p += 1
-    }
-    val full = new Array[Long](words)
-    i = 0
-    while (i < s) { full(i >>> 6) |= 1L << (i & 63); i += 1 }
-    val runner = new ColorBitRunner(
-      s, words, outRows, undRows, posColors, toOuterPos, cfg.rule2, etT, stack, this)
-    runner.run(full, s, l0, 2, etHere = false, sink)
+    val colors = Coloring.greedyLocal(adjL, Coloring.colorDescOrder(deg))
+    // Branch graphs are bounded by tau, so candidate sets fit a handful of
+    // words — the same data-level parallelism BitCol enjoys.
+    bits.load(adjL, Coloring.colorDescOrder(colors), colors, verts, 2)
+    bits.edgeStep(s, l0, 2, probeEt = false, sink)
   }
 
   // ------------------------------------------------------------ EBBkC-C body
@@ -385,271 +344,32 @@ final class EbbkcKernel(prep: EbbkcPrep) extends SubproblemKernel {
     if (dag.colors(u) < k || dag.colors(v) < k - 1) return
     val c0 = IntArrays.intersectSorted(dag.out(u), dag.out(v))
     if (c0.length < l0) return
+    if (cfg.rule2 && !dag.hasColors(c0, l0)) return // Rule (2)
     stack(0) = dag.toOuter(u); stack(1) = dag.toOuter(v)
-    val runner = new ColorBranchRunner(dag, cfg.rule2, etT, stack, this)
-    if (cfg.rule2 && runner.distinctColors(c0) < l0) return // Rule (2)
-    runner.run(c0, l0, 2, etHere = true, sink)
+    recC(c0, l0, 2, sink)
   }
 
-  // Scratch shared with ColorBranchRunner for distinct-color counting.
-  private[core] val colorStampOf = new Array[Int](g.maxDegree + 3)
-  private[core] var colorStamp = 0
-}
-
-/** Word-parallel edge-oriented branching over a small color DAG in position
-  * space — the EBBkC-H inner kernel. Identical semantics to
-  * [[ColorBranchRunner]] (Rules 1 & 2, ET, DAG uniqueness) with candidate
-  * sets as `Long` bitsets, viable because hybrid branch graphs are bounded
-  * by tau vertices.
-  */
-final class ColorBitRunner(
-    s: Int,
-    words: Int,
-    outRows: Array[Array[Long]],
-    undRows: Array[Array[Long]],
-    colors: Array[Int],
-    toOuter: Array[Int],
-    rule2: Boolean,
-    etT: Int,
-    stack: Array[Int],
-    owner: EbbkcKernel
-) {
-
-  private def distinctColorsBits(c: Array[Long]): Int = {
-    owner.colorStamp += 1
-    val st = owner.colorStamp
-    var cnt = 0
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        val col = colors(u)
-        if (owner.colorStampOf(col) != st) { owner.colorStampOf(col) = st; cnt += 1 }
-      }
-      w += 1
-    }
-    cnt
-  }
-
-  /** ET probe with early abort on the induced-degree scan. */
-  private def tryEt(c: Array[Long], cnt: Int, l: Int, sp: Int, sink: CliqueSink): Boolean = {
-    val minDeg = cnt - etT
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        var d = 0
-        var ww = 0
-        while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
-        if (d < minDeg) return false
-      }
-      w += 1
-    }
-    val members = new Array[Int](cnt)
-    var mi = 0
-    w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1; mi += 1
-      }
-      w += 1
-    }
-    val cw = (cnt + 63) >>> 6
-    val rows = Array.ofDim[Long](cnt, cw)
-    var i = 0
-    while (i < cnt) {
-      var j = i + 1
-      while (j < cnt) {
-        val a = members(i); val b = members(j)
-        if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
-          rows(i)(j >>> 6) |= 1L << (j & 63)
-          rows(j)(i >>> 6) |= 1L << (i & 63)
-        }
-        j += 1
-      }
-      i += 1
-    }
-    val verts = new Array[Int](cnt)
-    i = 0
-    while (i < cnt) { verts(i) = toOuter(members(i)); i += 1 }
-    PlexListers.tryEarlyTerminate(stack, sp, verts, cnt, rows, l, etT, sink)
-  }
-
-  def run(c: Array[Long], cnt: Int, l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
-    if (cnt < l) return
-    if (etHere && etT > 0 && l >= 3 && tryEt(c, cnt, l, sp, sink)) return
-    if (l == 1) {
-      if (!sink.wantsCliques) { sink.onCount(cnt); return }
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
-        }
-        w += 1
-      }
-      return
-    }
-    if (l == 2) {
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          if (!sink.wantsCliques) {
-            var d = 0
-            var ww = 0
-            while (ww < words) { d += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-            sink.onCount(d)
-          } else {
-            var ww = 0
-            while (ww < words) {
-              var bits2 = c(ww) & outRows(u)(ww)
-              while (bits2 != 0) {
-                val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-                bits2 &= bits2 - 1
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                sink.onClique(stack, sp + 2)
-              }
-              ww += 1
-            }
-          }
-        }
-        w += 1
-      }
-      return
-    }
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        if (colors(u) < l) return // Rule (1a): colors descend with position
-        val cu = new Array[Long](words)
-        var ww = 0
-        while (ww < words) { cu(ww) = c(ww) & outRows(u)(ww); ww += 1 }
-        var w2 = 0
-        var innerLive = true
-        while (w2 < words && innerLive) {
-          var bits2 = cu(w2)
-          while (bits2 != 0 && innerLive) {
-            val v = (w2 << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-            bits2 &= bits2 - 1
-            if (colors(v) < l - 1) innerLive = false // Rule (1b)
-            else {
-              val c2 = new Array[Long](words)
-              var cnt2 = 0
-              var w3 = 0
-              while (w3 < words) {
-                c2(w3) = cu(w3) & outRows(v)(w3)
-                cnt2 += java.lang.Long.bitCount(c2(w3))
-                w3 += 1
-              }
-              if (cnt2 >= l - 2 && (!rule2 || distinctColorsBits(c2) >= l - 2)) {
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                run(c2, cnt2, l - 2, sp + 2, etHere = true, sink)
-              }
-            }
-          }
-          w2 += 1
-        }
-      }
-      w += 1
-    }
-  }
-}
-
-/** Branching over a [[ColorDag]] (shared by EBBkC-C and EBBkC-H): picks a
-  * directed edge (u -> v), intersects common out-neighborhoods, and applies
-  * the two color pruning rules of Section 4.3. Uniqueness follows from the
-  * DAG orientation — each l-clique is generated from its two smallest
-  * positions.
-  */
-final class ColorBranchRunner(
-    dag: ColorDag,
-    rule2: Boolean,
-    etT: Int,
-    stack: Array[Int],
-    owner: EbbkcKernel
-) {
-
-  /** Number of distinct colors among positions in `c`. */
-  def distinctColors(c: Array[Int]): Int = {
-    owner.colorStamp += 1
-    val st = owner.colorStamp
-    var cnt = 0
-    var i = 0
-    while (i < c.length) {
-      val col = dag.colors(c(i))
-      if (owner.colorStampOf(col) != st) { owner.colorStampOf(col) = st; cnt += 1 }
-      i += 1
-    }
-    cnt
-  }
-
-  def run(c: Array[Int], l: Int, sp: Int, etHere: Boolean, sink: CliqueSink): Unit = {
-    if (c.length < l) return
-    if (etHere && etT > 0 && l >= 3 && c.length >= l) {
-      val rows = PlexListers.buildRowsIfPlex(dag.und, c, etT)
-      if (rows != null) {
-        val verts = new Array[Int](c.length)
-        var i = 0
-        while (i < c.length) { verts(i) = dag.toOuter(c(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, c.length, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) sink.onCount(c.length)
-      else {
-        var i = 0
-        while (i < c.length) { stack(sp) = dag.toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
-    if (l == 2) {
-      var i = 0
-      while (i < c.length) {
-        val u = c(i)
-        if (!sink.wantsCliques) sink.onCount(IntArrays.intersectionSize(c, dag.out(u)))
-        else {
-          val cu = IntArrays.intersectSorted(c, dag.out(u))
-          var j = 0
-          while (j < cu.length) {
-            stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(cu(j))
-            sink.onClique(stack, sp + 2)
-            j += 1
-          }
-        }
-        i += 1
-      }
-      return
-    }
+  /** Branching over the global [[ColorDag]]: picks a directed edge (u -> v),
+    * intersects common out-neighborhoods, and applies the two color pruning
+    * rules of Section 4.3. Uniqueness follows from the DAG orientation — each
+    * l-clique is generated from its two smallest positions.
+    */
+  private def recC(c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
+    val dag = prep.cdag
+    if (c.length < l || dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
+    if (l <= 2) { dag.emitBase(c, l, stack, sp, sink); return }
     var ui = 0
     while (ui < c.length) {
       val u = c(ui)
       if (dag.colors(u) < l) return // Rule (1a); colors non-increasing along c
       val cu = IntArrays.intersectSorted(c, dag.out(u))
       var vi = 0
-      var continueInner = true
-      while (vi < cu.length && continueInner) {
+      while (vi < cu.length && dag.colors(cu(vi)) >= l - 1) { // Rule (1b)
         val v = cu(vi)
-        if (dag.colors(v) < l - 1) continueInner = false // Rule (1b)
-        else {
-          val c2 = IntArrays.intersectSorted(cu, dag.out(v))
-          if (c2.length >= l - 2 && (!rule2 || distinctColors(c2) >= l - 2)) {
-            stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
-            run(c2, l - 2, sp + 2, etHere = true, sink)
-          }
+        val c2 = IntArrays.intersectSorted(cu, dag.out(v))
+        if (c2.length >= l - 2 && (!cfg.rule2 || dag.hasColors(c2, l - 2))) {
+          stack(sp) = dag.toOuter(u); stack(sp + 1) = dag.toOuter(v)
+          recC(c2, l - 2, sp + 2, sink)
         }
         vi += 1
       }

@@ -42,7 +42,7 @@ object KCliqueSpark {
         it.foreach(id => kernel.run(id.toInt, sink))
         Iterator.single(sink.total)
       }
-      .reduce(_ + _)
+      .reduce((a: Long, b: Long) => Math.addExact(a, b))
   }
 
   /** Lists k-cliques as a DataFrame with columns v1 < v2 < ... < vk, mapped

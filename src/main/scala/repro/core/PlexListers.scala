@@ -153,7 +153,8 @@ object PlexListers {
         val c2Max = math.min(l - c1, p)
         while (c2 <= c2Max) {
           val c3 = l - c1 - c2
-          total += binomial(f, c1) * binomial(p, c2) * binomial(p - c2, c3)
+          total = Math.addExact(total,
+            Math.multiplyExact(Math.multiplyExact(binomial(f, c1), binomial(p, c2)), binomial(p - c2, c3)))
           c2 += 1
         }
         c1 += 1

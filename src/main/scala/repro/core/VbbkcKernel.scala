@@ -52,13 +52,13 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   private val cfg = prep.cfg
   private val etT = prep.etT
   private val useColor = cfg.sub == SubColor
+  private val rule2 = cfg.rule2 && useColor
 
   private val stack = new Array[Int](k)
   private val stampOf = new Array[Int](g.n)
   private val localIdx = new Array[Int](g.n)
   private var stamp = 0
-  private val colorStampOf = new Array[Int](g.maxDegree + 3)
-  private var colorStamp = 0
+  private val bits = if (cfg.bitset) new BitBranch(g.maxDegree, k, stack, rule2, etT) else null
 
   override def run(subId: Int, sink: CliqueSink): Unit =
     if (cfg.edgeParallel) runEdgeSub(subId, sink) else runVertexSub(subId, sink)
@@ -92,20 +92,15 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
   }
 
   private def processSub(cands: Array[Int], l0: Int, sp: Int, sink: CliqueSink): Unit = {
-    if (l0 == 1) {
-      if (!sink.wantsCliques) sink.onCount(cands.length)
-      else {
-        var i = 0
-        while (i < cands.length) { stack(sp) = prep.toGlobal(cands(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
+    if (l0 == 1) { ColorDag.emitEach(cands, prep.toGlobal, stack, sp, sink); return }
     // Induced subgraph on the candidate set, in dense local ids.
     val s = cands.length
     stamp += 1
     var i = 0
     while (i < s) { stampOf(cands(i)) = stamp; localIdx(cands(i)) = i; i += 1 }
     val adjL = new Array[Array[Int]](s)
+    val degs = new Array[Int](s)
+    val outer = new Array[Int](s)
     i = 0
     while (i < s) {
       val a = cands(i)
@@ -118,272 +113,40 @@ final class VbbkcKernel(prep: VbbkcPrep) extends SubproblemKernel {
         p += 1
       }
       adjL(i) = java.util.Arrays.copyOf(buf, nb)
-      java.util.Arrays.sort(adjL(i))
+      degs(i) = nb
+      outer(i) = prep.toGlobal(a)
       i += 1
     }
-    // Sub-strategy ordering of the local subgraph.
-    val degs = Array.tabulate(s)(adjL(_).length)
-    val (order, colors) = cfg.sub match {
-      case SubNatural => (Array.tabulate(s)(identity), null)
-      case SubDegree  => (Array.tabulate(s)(identity).sortBy(v => (-degs(v), v)), null)
-      case SubColor =>
-        val colorOrder = Array.tabulate(s)(identity).sortBy(v => (-degs(v), v))
-        val cols = Coloring.greedyLocal(adjL, colorOrder)
-        (Array.tabulate(s)(identity).sortBy(v => (-cols(v), v)), cols)
+    // Sub-strategy ordering of the local subgraph: keys descending, ties by
+    // id, so equal keys keep the degeneracy order.
+    val keys = cfg.sub match {
+      case SubNatural => new Array[Int](s)
+      case SubDegree  => degs
+      case SubColor   => Coloring.greedyLocal(adjL, Coloring.colorDescOrder(degs))
     }
-    val posOf = new Array[Int](s)
-    i = 0
-    while (i < s) { posOf(order(i)) = i; i += 1 }
-    val und = new Array[Array[Int]](s)
-    val out = new Array[Array[Int]](s)
-    val posColors = if (colors == null) null else new Array[Int](s)
-    val toOuter = new Array[Int](s)
-    var p2 = 0
-    while (p2 < s) {
-      val v = order(p2)
-      val nb = adjL(v)
-      val undP = new Array[Int](nb.length)
-      var j = 0
-      while (j < nb.length) { undP(j) = posOf(nb(j)); j += 1 }
-      java.util.Arrays.sort(undP)
-      und(p2) = undP
-      var lo = 0
-      while (lo < undP.length && undP(lo) <= p2) lo += 1
-      out(p2) = java.util.Arrays.copyOfRange(undP, lo, undP.length)
-      if (posColors != null) posColors(p2) = colors(v)
-      toOuter(p2) = prep.toGlobal(cands(v))
-      p2 += 1
-    }
-    val all = Array.tabulate(s)(identity)
     if (cfg.bitset) {
-      val words = (s + 63) >>> 6
-      val outRows = Array.ofDim[Long](s, words)
-      val undRows = Array.ofDim[Long](s, words)
-      i = 0
-      while (i < s) {
-        var j = 0
-        while (j < out(i).length) { val b = out(i)(j); outRows(i)(b >>> 6) |= 1L << (b & 63); j += 1 }
-        j = 0
-        while (j < und(i).length) { val b = und(i)(j); undRows(i)(b >>> 6) |= 1L << (b & 63); j += 1 }
-        i += 1
-      }
-      val full = new Array[Long](words)
-      i = 0
-      while (i < s) { full(i >>> 6) |= 1L << (i & 63); i += 1 }
-      recBits(full, s, l0, sp, outRows, undRows, posColors, toOuter, words, sink)
+      bits.load(adjL, Coloring.colorDescOrder(keys), if (useColor) keys else null, outer, sp)
+      bits.vertexStep(s, l0, sp, sink)
     } else {
-      recArr(all, l0, sp, out, und, posColors, toOuter, sink)
+      val (dag, _) = ColorDag.build(adjL, keys, outer)
+      recArr(dag, Array.tabulate(s)(identity), l0, sp, sink)
     }
   }
 
-  private def distinctColors(c: Array[Int], posColors: Array[Int]): Int = {
-    colorStamp += 1
-    var cnt = 0
-    var i = 0
-    while (i < c.length) {
-      val col = posColors(c(i))
-      if (colorStampOf(col) != colorStamp) { colorStampOf(col) = colorStamp; cnt += 1 }
-      i += 1
-    }
-    cnt
-  }
-
-  // ------------------------------------------------------------ array kernel
-
-  private def recArr(
-      c: Array[Int], l: Int, sp: Int,
-      out: Array[Array[Int]], und: Array[Array[Int]],
-      posColors: Array[Int], toOuter: Array[Int], sink: CliqueSink
-  ): Unit = {
-    if (c.length < l) return
-    if (etT > 0 && l >= 3) {
-      val rows = PlexListers.buildRowsIfPlex(und(_), c, etT)
-      if (rows != null) {
-        val nv = c.length
-        val verts = new Array[Int](nv)
-        var i = 0
-        while (i < nv) { verts(i) = toOuter(c(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, nv, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) sink.onCount(c.length)
-      else {
-        var i = 0
-        while (i < c.length) { stack(sp) = toOuter(c(i)); sink.onClique(stack, sp + 1); i += 1 }
-      }
-      return
-    }
-    if (l == 2) {
-      var i = 0
-      while (i < c.length) {
-        val u = c(i)
-        if (!sink.wantsCliques) sink.onCount(IntArrays.intersectionSize(c, out(u)))
-        else {
-          val cu = IntArrays.intersectSorted(c, out(u))
-          var j = 0
-          while (j < cu.length) {
-            stack(sp) = toOuter(u); stack(sp + 1) = toOuter(cu(j))
-            sink.onClique(stack, sp + 2)
-            j += 1
-          }
-        }
-        i += 1
-      }
-      return
-    }
+  /** Algorithm 1 over sorted candidate positions of the subproblem's DAG. */
+  private def recArr(dag: ColorDag, c: Array[Int], l: Int, sp: Int, sink: CliqueSink): Unit = {
+    if (c.length < l || dag.tryEarlyTerminate(c, l, etT, stack, sp, sink)) return
+    if (l <= 2) { dag.emitBase(c, l, stack, sp, sink); return }
     var i = 0
     while (i < c.length) {
       val u = c(i)
-      if (useColor && posColors(u) < l) return // color pruning; colors non-increasing
-      val cu = IntArrays.intersectSorted(c, out(u))
-      if (cu.length >= l - 1 &&
-          (!cfg.rule2 || !useColor || distinctColors(cu, posColors) >= l - 1)) {
-        stack(sp) = toOuter(u)
-        recArr(cu, l - 1, sp + 1, out, und, posColors, toOuter, sink)
+      if (useColor && dag.colors(u) < l) return // color pruning; colors non-increasing
+      val cu = IntArrays.intersectSorted(c, dag.out(u))
+      if (cu.length >= l - 1 && (!rule2 || dag.hasColors(cu, l - 1))) {
+        stack(sp) = dag.toOuter(u)
+        recArr(dag, cu, l - 1, sp + 1, sink)
       }
       i += 1
     }
-  }
-
-  // ----------------------------------------------------------- bitset kernel
-
-  private def recBits(
-      c: Array[Long], cCount: Int, l: Int, sp: Int,
-      outRows: Array[Array[Long]], undRows: Array[Array[Long]],
-      posColors: Array[Int], toOuter: Array[Int], words: Int, sink: CliqueSink
-  ): Unit = {
-    if (cCount < l) return
-    if (etT > 0 && l >= 3) {
-      // Cheap pre-check with early abort: induced degree of each member via
-      // word AND; most branches fail on the first member scanned.
-      var plex = true
-      val minDeg = cCount - etT
-      var w = 0
-      while (w < words && plex) {
-        var bits = c(w)
-        while (bits != 0 && plex) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          var d = 0
-          var ww = 0
-          while (ww < words) { d += java.lang.Long.bitCount(c(ww) & undRows(u)(ww)); ww += 1 }
-          if (d < minDeg) plex = false
-        }
-        w += 1
-      }
-      if (plex) {
-        val members = new Array[Int](cCount)
-        var mi = 0
-        w = 0
-        while (w < words) {
-          var bits = c(w)
-          while (bits != 0) {
-            members(mi) = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-            bits &= bits - 1
-            mi += 1
-          }
-          w += 1
-        }
-        val cw = (cCount + 63) >>> 6
-        val rows = Array.ofDim[Long](cCount, cw)
-        var i = 0
-        while (i < cCount) {
-          var j = i + 1
-          while (j < cCount) {
-            val a = members(i); val b = members(j)
-            if ((undRows(a)(b >>> 6) & (1L << (b & 63))) != 0) {
-              rows(i)(j >>> 6) |= 1L << (j & 63)
-              rows(j)(i >>> 6) |= 1L << (i & 63)
-            }
-            j += 1
-          }
-          i += 1
-        }
-        val verts = new Array[Int](cCount)
-        i = 0
-        while (i < cCount) { verts(i) = toOuter(members(i)); i += 1 }
-        if (PlexListers.tryEarlyTerminate(stack, sp, verts, cCount, rows, l, etT, sink)) return
-      }
-    }
-    if (l == 1) {
-      if (!sink.wantsCliques) { sink.onCount(cCount); return }
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          stack(sp) = toOuter(u); sink.onClique(stack, sp + 1)
-        }
-        w += 1
-      }
-      return
-    }
-    if (l == 2) {
-      var w = 0
-      while (w < words) {
-        var bits = c(w)
-        while (bits != 0) {
-          val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-          bits &= bits - 1
-          if (!sink.wantsCliques) {
-            var cnt = 0
-            var ww = 0
-            while (ww < words) { cnt += java.lang.Long.bitCount(c(ww) & outRows(u)(ww)); ww += 1 }
-            sink.onCount(cnt)
-          } else {
-            var ww = 0
-            while (ww < words) {
-              var bits2 = c(ww) & outRows(u)(ww)
-              while (bits2 != 0) {
-                val v = (ww << 6) + java.lang.Long.numberOfTrailingZeros(bits2)
-                bits2 &= bits2 - 1
-                stack(sp) = toOuter(u); stack(sp + 1) = toOuter(v)
-                sink.onClique(stack, sp + 2)
-              }
-              ww += 1
-            }
-          }
-        }
-        w += 1
-      }
-      return
-    }
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        if (useColor && posColors(u) < l) return // positions ascend, colors descend
-        val cNext = new Array[Long](words)
-        var cnt = 0
-        var ww = 0
-        while (ww < words) { cNext(ww) = c(ww) & outRows(u)(ww); cnt += java.lang.Long.bitCount(cNext(ww)); ww += 1 }
-        if (cnt >= l - 1 && (!cfg.rule2 || !useColor || distinctColorsBits(cNext, words, posColors) >= l - 1)) {
-          stack(sp) = toOuter(u)
-          recBits(cNext, cnt, l - 1, sp + 1, outRows, undRows, posColors, toOuter, words, sink)
-        }
-      }
-      w += 1
-    }
-  }
-
-  private def distinctColorsBits(c: Array[Long], words: Int, posColors: Array[Int]): Int = {
-    colorStamp += 1
-    var cnt = 0
-    var w = 0
-    while (w < words) {
-      var bits = c(w)
-      while (bits != 0) {
-        val u = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
-        bits &= bits - 1
-        val col = posColors(u)
-        if (colorStampOf(col) != colorStamp) { colorStampOf(col) = colorStamp; cnt += 1 }
-      }
-      w += 1
-    }
-    cnt
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** DataFrame-side graph plumbing: canonical undirected edge tables, synthetic
-  * edge generators (the graph-shaped extension of [[repro.SynthData]]), and
+  * edge generators (Zipf-skewed and uniform random edge tables), and
   * conversions to/from the in-core [[LocalGraph]] used by kernels.
   *
   * Canonical form everywhere: columns `src`, `dst` (long) with `src < dst`,

@@ -71,10 +71,20 @@ object Coloring {
 
   def numColors(colors: Array[Int]): Int = if (colors.isEmpty) 0 else colors.max
 
-  /** Positions for the color-based vertex ordering: vertices sorted by color
-    * descending, ties by id ascending (Section 4.3). Returns the order array
-    * (position -> vertex); invert for id(v).
+  /** Positions for the color-based vertex ordering: vertices sorted by key
+    * (color) descending, ties by id ascending (Section 4.3). Returns the order
+    * array (position -> vertex); invert for id(v). Sorts (~key, id) packed
+    * into one Long, so nothing is boxed.
     */
-  def colorDescOrder(colors: Array[Int]): Array[Int] =
-    colors.indices.sortBy(v => (-colors(v), v)).toArray
+  def colorDescOrder(keys: Array[Int]): Array[Int] = {
+    val s = keys.length
+    val packed = new Array[Long](s)
+    var v = 0
+    while (v < s) { packed(v) = ((~keys(v)).toLong << 32) | v; v += 1 }
+    java.util.Arrays.sort(packed)
+    val order = new Array[Int](s)
+    v = 0
+    while (v < s) { order(v) = packed(v).toInt; v += 1 }
+    order
+  }
 }

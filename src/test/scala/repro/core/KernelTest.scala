@@ -23,6 +23,15 @@ object KernelFixtures {
 
   val ks: Seq[Int] = 3 to 6
 
+  /** Graphs above 64 vertices, so branch graphs span two bitset words, with
+    * closed-form counts: C(70, k) for K70, and C(35, k) * 2^k for the
+    * cocktail-party graph CP(35) = K70 minus a perfect matching (a 2-plex).
+    */
+  val wideGraphs: Seq[(String, LocalGraph, Map[Int, Long])] = Seq(
+    ("K70", GraphGen.complete(70), Map(3 -> 54740L, 4 -> 916895L, 5 -> 12103014L)),
+    ("cocktailParty35", GraphGen.twoPlexWithPairs(70, 35), Map(3 -> 52360L, 4 -> 837760L, 5 -> 10388224L))
+  )
+
   /** Every algorithm instance exercised by the correctness sweep. */
   val algos: Seq[AlgoConfig] = Seq(
     Algos.Degen,
@@ -64,6 +73,11 @@ class KernelCountTest extends AnyFunSuite {
     test(s"${cfg.name} count on $name, k=$k") {
       assert(KClique.count(g, k, cfg) == expected((name, k)).size.toLong)
     }
+
+  for (cfg <- algos; (name, g, counts) <- wideGraphs; (k, want) <- counts.toSeq.sorted)
+    test(s"${cfg.name} count on $name, k=$k") {
+      assert(KClique.count(g, k, cfg) == want)
+    }
 }
 
 class KernelListTest extends AnyFunSuite {
@@ -83,14 +97,22 @@ class KernelListTest extends AnyFunSuite {
     EbbkcAlgo(HybridOrdering, rule2 = true, et = EtFixed(4))
   )
 
+  private def assertLists(g: LocalGraph, k: Int, cfg: AlgoConfig, want: Set[Seq[Int]]): Unit = {
+    val listed = KClique.list(g, k, cfg).map(_.toSeq)
+    val got = listed.toSet
+    assert(got.size == listed.size, "duplicate cliques emitted")
+    assert(got == want,
+      s"missing=${(want -- got).take(3)} extra=${(got -- want).take(3)}")
+  }
+
   for (cfg <- listAlgos; (name, g) <- graphs; k <- ks)
     test(s"${cfg.name} lists exact clique set on $name, k=$k") {
-      val listed = KClique.list(g, k, cfg).map(_.toSeq)
-      val got = listed.toSet
-      val want = expected((name, k))
-      assert(got.size == listed.size, "duplicate cliques emitted")
-      assert(got == want,
-        s"missing=${(want -- got).take(3)} extra=${(got -- want).take(3)}")
+      assertLists(g, k, cfg, expected((name, k)))
+    }
+
+  for (cfg <- listAlgos; (name, g, _) <- wideGraphs)
+    test(s"${cfg.name} lists exact clique set on $name, k=3") {
+      assertLists(g, 3, cfg, BruteForce.list(g, 3))
     }
 }
 
@@ -118,6 +140,20 @@ class KernelEdgeCaseTest extends AnyFunSuite {
     val g = GraphGen.complete(14)
     for (k <- 3 to 12; cfg <- Seq[AlgoConfig](Algos.EBBkCET, Algos.EBBkC, Algos.BitCol, Algos.DDegree))
       assert(KClique.count(g, k, cfg) == Combinatorics.binomial(14, k), s"k=$k ${cfg.name}")
+  }
+
+  private val etAlgos = Seq[AlgoConfig](Algos.EBBkCET, Algos.EBBkCT_ET, Algos.EBBkCC_ET, Algos.VBBkCET)
+
+  test("counts that fit in a Long are exact: K64 at k=32") {
+    val g = GraphGen.complete(64)
+    for (cfg <- etAlgos)
+      assert(KClique.count(g, 32, cfg) == 1832624140942590534L, cfg.name)
+  }
+
+  test("counts past Long.MaxValue throw: K70 at k=30 and k=35") {
+    val g = GraphGen.complete(70)
+    for (k <- Seq(30, 35); cfg <- etAlgos)
+      intercept[ArithmeticException](KClique.count(g, k, cfg))
   }
 
   test("k = 3 equals triangle count from truss supports") {

@@ -142,10 +142,20 @@ class KCliqueSparkTest extends SparkSpec {
     }
 
   test("distributed count on a Spark-generated zipf graph matches brute force") {
-    val edges = repro.SynthData.zipfGraphEdges(spark, 200, 900, 1.4, seed = 42)
+    val edges = GraphDF.zipfEdges(spark, 200, 900, 1.4, seed = 42)
     val g = GraphDF.toLocal(edges).graph
     for (k <- 3 to 5)
       assert(KCliqueSpark.count(spark, edges, k, Algos.EBBkCET) == BruteForce.count(g, k))
+  }
+
+  test("distributed count past Long.MaxValue fails loudly: K70 at k=30 and k=35") {
+    val g = GraphGen.complete(70)
+    for (k <- Seq(30, 35)) {
+      val e = intercept[Exception](KCliqueSpark.countLocal(spark, g, k, Algos.EBBkCET))
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      assert(causes.exists(c => c.isInstanceOf[ArithmeticException] ||
+        String.valueOf(c.getMessage).contains("java.lang.ArithmeticException")), e)
+    }
   }
 
   test("listing DataFrame has sorted distinct rows mapping to valid cliques") {

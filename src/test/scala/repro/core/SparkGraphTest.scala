@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.graph.{GraphDF, GraphGen}
 
 /** DataFrame graph plumbing: canonicalization, generators, local round-trips. */
@@ -40,19 +40,19 @@ class GraphDFTest extends SparkSpec {
 
   test("zipf and uniform edge generators are canonical and deterministic") {
     for (df <- Seq(
-        SynthData.zipfGraphEdges(spark, 500, 2000, 1.5, seed = 3),
-        SynthData.uniformGraphEdges(spark, 500, 2000, seed = 4))) {
+        GraphDF.zipfEdges(spark, 500, 2000, 1.5, seed = 3),
+        GraphDF.uniformEdges(spark, 500, 2000, seed = 4))) {
       val rows = df.as[(Long, Long)].collect()
       assert(rows.forall { case (s, d) => s < d })
       assert(rows.distinct.length == rows.length)
     }
-    val a = SynthData.zipfGraphEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
-    val b = SynthData.zipfGraphEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
+    val a = GraphDF.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
+    val b = GraphDF.zipfEdges(spark, 300, 1000, 1.4, seed = 9).as[(Long, Long)].collect().sorted.toSeq
     assert(a == b)
   }
 
   test("oracle agrees on degree distribution of a generated edge table") {
-    val edges = SynthData.uniformGraphEdges(spark, 200, 800, seed = 5)
+    val edges = GraphDF.uniformEdges(spark, 200, 800, seed = 5)
     val degs = edges.select($"src".as("v")).unionAll(edges.select($"dst".as("v")))
       .groupBy("v").agg(count(lit(1)).as("cnt"))
     Oracle.assertEquivalent(
